@@ -11,6 +11,8 @@
 //! Dictionaries are sorted, so codes preserve value order and range
 //! predicates can be answered on codes.
 
+use std::collections::HashMap;
+
 use bipie_toolbox::bitpack::{min_bits, PackedVec};
 
 /// Dictionary-encoded integer column.
@@ -27,9 +29,9 @@ pub struct StrDictColumn {
     codes: PackedVec,
 }
 
-fn pack_codes(codes: &[u64], dict_len: usize) -> PackedVec {
+fn pack_codes(codes: impl ExactSizeIterator<Item = u64>, dict_len: usize) -> PackedVec {
     let bits = min_bits(dict_len.saturating_sub(1) as u64);
-    PackedVec::pack(codes, bits)
+    PackedVec::pack_iter(codes, bits)
 }
 
 impl IntDictColumn {
@@ -38,13 +40,12 @@ impl IntDictColumn {
         let mut dict: Vec<i64> = values.to_vec();
         dict.sort_unstable();
         dict.dedup();
-        let codes: Vec<u64> = values
+        let codes = values
             .iter()
             // PANIC: the dictionary was built from these exact values two
             // lines up (sort + dedup), so every lookup must hit.
-            .map(|v| dict.binary_search(v).expect("value in dictionary") as u64)
-            .collect();
-        let codes = pack_codes(&codes, dict.len());
+            .map(|v| dict.binary_search(v).expect("value in dictionary") as u64);
+        let codes = pack_codes(codes, dict.len());
         IntDictColumn { dict, codes }
     }
 
@@ -103,21 +104,31 @@ impl IntDictColumn {
 }
 
 impl StrDictColumn {
-    /// Encode `values`.
+    /// Encode `values` in time linear in the row count: each row hashes
+    /// once to its first-seen id, only the distinct values are sorted, and
+    /// one remap pass turns first-seen ids into sorted codes. No string is
+    /// allocated per row — only one per dictionary entry.
     pub fn encode<S: AsRef<str>>(values: &[S]) -> StrDictColumn {
-        let mut dict: Vec<String> = values.iter().map(|s| s.as_ref().to_string()).collect();
-        dict.sort_unstable();
-        dict.dedup();
-        let codes: Vec<u64> = values
+        let mut first_seen: HashMap<&str, u32> = HashMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
+        let ids: Vec<u32> = values
             .iter()
             .map(|v| {
-                // PANIC: the dictionary was built from these exact values
-                // above (sort + dedup), so every lookup must hit.
-                dict.binary_search_by(|d| d.as_str().cmp(v.as_ref())).expect("value in dictionary")
-                    as u64
+                let s = v.as_ref();
+                *first_seen.entry(s).or_insert_with(|| {
+                    distinct.push(s);
+                    (distinct.len() - 1) as u32
+                })
             })
             .collect();
-        let codes = pack_codes(&codes, dict.len());
+        let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| distinct[a as usize].cmp(distinct[b as usize]));
+        let mut rank = vec![0u64; distinct.len()];
+        for (code, &id) in order.iter().enumerate() {
+            rank[id as usize] = code as u64;
+        }
+        let codes = pack_codes(ids.iter().map(|&id| rank[id as usize]), distinct.len());
+        let dict: Vec<String> = order.iter().map(|&id| distinct[id as usize].to_owned()).collect();
         StrDictColumn { dict, codes }
     }
 

@@ -24,10 +24,17 @@ impl ForBitPackColumn {
     /// Encode `values`.
     pub fn encode(values: &[i64]) -> ForBitPackColumn {
         let reference = values.iter().copied().min().unwrap_or(0);
-        let normalized: Vec<u64> =
-            values.iter().map(|&v| (v as i128 - reference as i128) as u64).collect();
+        let max = values.iter().copied().max().unwrap_or(0);
         let non_decreasing = values.windows(2).all(|w| w[1] >= w[0]);
-        ForBitPackColumn { reference, packed: PackedVec::pack_minimal(&normalized), non_decreasing }
+        // `v - reference` lies in `[0, max - reference]`, which fits `u64`;
+        // the wrapping subtraction yields exactly those low 64 bits.
+        let bits = min_bits(max.wrapping_sub(reference) as u64);
+        let normalized = values.iter().map(|&v| v.wrapping_sub(reference) as u64);
+        ForBitPackColumn {
+            reference,
+            packed: PackedVec::pack_iter(normalized, bits),
+            non_decreasing,
+        }
     }
 
     /// Estimated payload bytes without building the encoding.

@@ -149,11 +149,6 @@ pub fn encode_ints(values: &[i64], hint: EncodingHint) -> EncodedColumn {
     }
 }
 
-/// Encode a string column (always dictionary).
-pub fn encode_strings<S: AsRef<str>>(values: &[S]) -> EncodedColumn {
-    EncodedColumn::StrDict(StrDictColumn::encode(values))
-}
-
 /// The automatic chooser: estimate each candidate's payload size without
 /// building it, then build the winner. Ties break toward bit packing, which
 /// BIPie's kernels consume directly (§2.1: "usefulness of the encoding for
@@ -264,17 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn strings_always_dict() {
-        let values = vec!["N", "A", "R", "N", "A"];
-        let col = encode_strings(&values);
-        assert_eq!(col.encoding(), Encoding::Dict);
-        assert_eq!(col.len(), 5);
-    }
-
-    #[test]
     #[should_panic(expected = "dictionary codes")]
     fn string_column_rejects_int_decode() {
-        let col = encode_strings(&["a", "b"]);
+        let col = EncodedColumn::StrDict(StrDictColumn::encode(&["a", "b"]));
         let mut out = [0i64; 2];
         col.decode_i64_into(0, &mut out);
     }

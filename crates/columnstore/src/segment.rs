@@ -12,7 +12,7 @@
 //! count for aggregation-strategy selection (§3).
 
 use crate::bitmap::DeletedBitmap;
-use crate::encoding::{self, EncodedColumn, EncodingHint};
+use crate::encoding::{self, EncodedColumn, EncodingHint, StrDictColumn};
 
 /// Target rows per segment (§2.1: "approximately one million records").
 pub const SEGMENT_ROWS: usize = 1 << 20;
@@ -84,33 +84,27 @@ impl Segment {
         assert_eq!(columns.len(), hints.len(), "one hint per column required");
         let num_rows = columns.first().map_or(0, ColumnData::len);
         assert!(columns.iter().all(|c| c.len() == num_rows), "all columns must have equal length");
-        let mut encoded = Vec::with_capacity(columns.len());
-        let mut meta = Vec::with_capacity(columns.len());
-        for (data, &hint) in columns.iter().zip(hints) {
-            match data {
-                ColumnData::Ints(values) => {
-                    let col = encoding::encode_ints(values, hint);
-                    meta.push(int_meta(values, &col));
-                    encoded.push(col);
-                }
-                ColumnData::Strs(values) => {
-                    let col = encoding::encode_strings(values);
-                    let dict_len = match &col {
-                        EncodedColumn::StrDict(d) => d.dict().len(),
-                        // PANIC: `encode_strings` returns `StrDict` by
-                        // construction; no other variant can come back.
-                        _ => unreachable!("strings always dictionary encode"),
-                    };
-                    meta.push(ColumnMeta {
-                        min: 0,
-                        max: dict_len.saturating_sub(1) as i64,
-                        distinct_upper: dict_len,
-                    });
-                    encoded.push(col);
-                }
-            }
-        }
-        Segment { num_rows, columns: encoded, meta, deleted: DeletedBitmap::new(num_rows) }
+        let (encoded, meta) = columns
+            .iter()
+            .zip(hints)
+            .map(|(data, &hint)| match data {
+                ColumnData::Ints(values) => encode_int_column(values, hint),
+                ColumnData::Strs(values) => encode_str_column(values),
+            })
+            .unzip();
+        Segment::from_parts(num_rows, encoded, meta)
+    }
+
+    /// Assemble a segment from columns encoded one at a time (see
+    /// [`encode_int_column`] and [`encode_str_column`]), so a caller that
+    /// transposes rows never holds every raw column at once.
+    pub(crate) fn from_parts(
+        num_rows: usize,
+        columns: Vec<EncodedColumn>,
+        meta: Vec<ColumnMeta>,
+    ) -> Segment {
+        debug_assert!(columns.iter().all(|c| c.len() == num_rows), "ragged segment columns");
+        Segment { num_rows, columns, meta, deleted: DeletedBitmap::new(num_rows) }
     }
 
     /// Number of rows (including deleted ones).
@@ -152,6 +146,23 @@ impl Segment {
     pub fn encoded_bytes(&self) -> usize {
         self.columns.iter().map(EncodedColumn::encoded_bytes).sum()
     }
+}
+
+/// Encode one integer-like column as `hint` says and derive its metadata.
+pub(crate) fn encode_int_column(values: &[i64], hint: EncodingHint) -> (EncodedColumn, ColumnMeta) {
+    let col = encoding::encode_ints(values, hint);
+    let meta = int_meta(values, &col);
+    (col, meta)
+}
+
+/// Dictionary-encode one string column; its metadata describes the code
+/// domain.
+pub(crate) fn encode_str_column<S: AsRef<str>>(values: &[S]) -> (EncodedColumn, ColumnMeta) {
+    let col = StrDictColumn::encode(values);
+    let dict_len = col.dict().len();
+    let meta =
+        ColumnMeta { min: 0, max: dict_len.saturating_sub(1) as i64, distinct_upper: dict_len };
+    (EncodedColumn::StrDict(col), meta)
 }
 
 fn int_meta(values: &[i64], col: &EncodedColumn) -> ColumnMeta {

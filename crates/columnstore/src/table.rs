@@ -10,11 +10,12 @@
 //! [`Table::mutable_rows`] buffer; [`Table::flush_mutable`] (and the
 //! builder's automatic flush every [`SEGMENT_ROWS`]) encodes them into new
 //! immutable [`Segment`]s. Scans read segments with BIPie's vectorized
-//! machinery and fall back to row-at-a-time processing for the (small)
-//! mutable tail.
+//! machinery, and the (small) mutable tail too: each query encodes it into
+//! a transient bit-packed segment ([`Table::tail_segment`]) that goes
+//! through the same batch pipeline and is never stored.
 
 use crate::encoding::EncodingHint;
-use crate::segment::{ColumnData, Segment, SEGMENT_ROWS};
+use crate::segment::{encode_int_column, encode_str_column, Segment, SEGMENT_ROWS};
 use crate::value::{LogicalType, Value};
 
 /// A column's schema entry.
@@ -119,34 +120,54 @@ impl Table {
         if self.mutable.is_empty() {
             return;
         }
-        let rows = std::mem::take(&mut self.mutable);
-        let mut columns: Vec<ColumnData> = self
-            .specs
-            .iter()
-            .map(|s| {
-                if s.ty == LogicalType::Str {
-                    ColumnData::Strs(Vec::with_capacity(rows.len()))
-                } else {
-                    ColumnData::Ints(Vec::with_capacity(rows.len()))
-                }
-            })
-            .collect();
-        for row in rows {
-            for (c, v) in row.into_iter().enumerate() {
-                match (&mut columns[c], v) {
-                    (ColumnData::Strs(out), Value::Str(s)) => out.push(s.as_ref().to_owned()),
-                    (ColumnData::Ints(out), v) => {
-                        // PANIC: `check_row` validated every value against
-                        // the schema before this loop ran.
-                        out.push(v.as_storage_i64().expect("typed by check_row"))
-                    }
-                    // PANIC: same `check_row` schema validation as above.
-                    _ => unreachable!("typed by check_row"),
-                }
-            }
+        let segment = self.encode_mutable(|spec| spec.hint);
+        self.mutable = Vec::new();
+        self.segments.push(segment);
+    }
+
+    /// Encode the mutable region as a *transient* segment, leaving the
+    /// table unchanged: queries scan it through the batch pipeline like a
+    /// stored segment and drop it when they finish. Integer columns are
+    /// always bit packed — the layout the scan kernels read directly and
+    /// the cheapest to build, since the size chooser would run per query —
+    /// and strings are dictionary encoded as in a flush. `None` when the
+    /// region is empty.
+    pub fn tail_segment(&self) -> Option<Segment> {
+        if self.mutable.is_empty() {
+            return None;
         }
-        let hints: Vec<EncodingHint> = self.specs.iter().map(|s| s.hint).collect();
-        self.segments.push(Segment::build(columns, &hints));
+        Some(self.encode_mutable(|_| EncodingHint::BitPack))
+    }
+
+    /// Transpose the mutable rows column by column and encode each column
+    /// with the hint `hint_of` picks for it. One integer buffer and one
+    /// string-slice buffer are reused across columns, so at most one raw
+    /// column is live at a time and no string is copied per row.
+    fn encode_mutable(&self, hint_of: impl Fn(&ColumnSpec) -> EncodingHint) -> Segment {
+        let rows = &self.mutable;
+        let mut ints: Vec<i64> = Vec::new();
+        let mut strs: Vec<&str> = Vec::new();
+        let mut columns = Vec::with_capacity(self.specs.len());
+        let mut meta = Vec::with_capacity(self.specs.len());
+        for (c, spec) in self.specs.iter().enumerate() {
+            let (column, m) = if spec.ty == LogicalType::Str {
+                strs.clear();
+                // PANIC: `check_row` validated every value against the
+                // schema on insert, so this column holds only strings.
+                strs.extend(rows.iter().map(|row| row[c].as_str().expect("typed by check_row")));
+                encode_str_column(&strs)
+            } else {
+                ints.clear();
+                ints.extend(rows.iter().map(|row| {
+                    // PANIC: same `check_row` schema validation as above.
+                    row[c].as_storage_i64().expect("typed by check_row")
+                }));
+                encode_int_column(&ints, hint_of(spec))
+            };
+            columns.push(column);
+            meta.push(m);
+        }
+        Segment::from_parts(rows.len(), columns, meta)
     }
 
     fn check_row(&self, row: &[Value]) {

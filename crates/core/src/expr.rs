@@ -448,21 +448,6 @@ impl ResolvedExpr {
         std::mem::swap(out, &mut scratch.stack[0]);
     }
 
-    /// Single-row evaluation (mutable-region rows, oracle executor).
-    pub fn eval_row(&self, value_of: &impl Fn(usize) -> i64) -> i64 {
-        fn walk(n: &Node, value_of: &impl Fn(usize) -> i64) -> i64 {
-            match n {
-                Node::Col(i) => value_of(*i),
-                Node::Lit(v) => *v,
-                Node::Add(a, b) => walk(a, value_of) + walk(b, value_of),
-                Node::Sub(a, b) => walk(a, value_of) - walk(b, value_of),
-                Node::Mul(a, b) => walk(a, value_of) * walk(b, value_of),
-                Node::Neg(a) => -walk(a, value_of),
-            }
-        }
-        walk(&self.root, value_of)
-    }
-
     /// Interval analysis: the (min, max) the expression can take given per-
     /// column (min, max) metadata. Used for overflow proofs and width
     /// selection. Computed in `i128` so the analysis itself cannot wrap.
@@ -597,8 +582,14 @@ mod tests {
         assert_eq!(e.resolve(&lookup), Err(EngineError::UnknownColumn("nope".into())));
     }
 
+    /// The oracle's row evaluator on row `i` of `cols`, by column name.
+    fn oracle(e: &Expr, cols: &[Vec<i64>], i: usize) -> i64 {
+        // PANIC: test expressions only name the columns `lookup` knows.
+        crate::reference::eval_expr(e, &|name| cols[lookup(name).unwrap()][i])
+    }
+
     #[test]
-    fn batch_eval_matches_row_eval() {
+    fn batch_eval_matches_the_oracle() {
         let e = Expr::col("a").mul(Expr::lit(100).sub(Expr::col("b"))).add(Expr::col("c").neg());
         let r = e.resolve(&lookup).unwrap();
         let a: Vec<i64> = (0..100).map(|i| i * 3).collect();
@@ -608,9 +599,43 @@ mod tests {
         let mut out = Vec::new();
         r.eval_batch(100, &|i| cols[i].as_slice(), &mut out, &mut ExprScratch::default());
         for i in 0..100 {
-            let expected = r.eval_row(&|col| cols[col][i]);
+            let expected = oracle(&e, &cols, i);
             assert_eq!(out[i], expected, "i={i}");
             assert_eq!(expected, a[i] * (100 - b[i]) - c[i]);
+        }
+    }
+
+    #[test]
+    fn every_op_shape_matches_the_oracle() {
+        // One expression per compiled instruction form: Bin2 over
+        // column/literal pairs, fused Add/Sub/Mul/RSub with a leaf, a
+        // stack-stack op, and Neg.
+        let (a, b, c) = (|| Expr::col("a"), || Expr::col("b"), || Expr::col("c"));
+        let exprs = [
+            a().add(b()),
+            Expr::lit(7).sub(a()),
+            a().mul(Expr::lit(-3)),
+            Expr::lit(2).mul(Expr::lit(5)),
+            a().add(b()).sub(c()),
+            c().sub(a().mul(b())),
+            a().add(b()).mul(b().sub(c())),
+            a().sub(b()).neg().add(Expr::lit(1)),
+            a(),
+            Expr::lit(-9),
+        ];
+        let cols: Vec<Vec<i64>> = vec![
+            (0..300).map(|i| i * 7 - 1000).collect(),
+            (0..300).map(|i| (i * 13) % 97 - 48).collect(),
+            (0..300).map(|i| 5 - i).collect(),
+        ];
+        let mut scratch = ExprScratch::default();
+        for e in &exprs {
+            let r = e.resolve(&lookup).unwrap();
+            let mut out = Vec::new();
+            r.eval_batch(300, &|i| cols[i].as_slice(), &mut out, &mut scratch);
+            for (i, &got) in out.iter().enumerate() {
+                assert_eq!(got, oracle(e, &cols, i), "{e:?} row {i}");
+            }
         }
     }
 
@@ -649,8 +674,8 @@ mod tests {
             &mut scratch,
         );
         for i in 0..200 {
-            let expected = resolved[1].eval_row(&|col| cols[col][i]);
-            assert_eq!(out2[i], expected, "i={i}");
+            assert_eq!(out1[i], oracle(&e1, &cols, i), "i={i}");
+            assert_eq!(out2[i], oracle(&e2, &cols, i), "i={i}");
         }
     }
 

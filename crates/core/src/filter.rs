@@ -164,33 +164,6 @@ impl Predicate {
             }
         }
     }
-
-    /// Row-level evaluation against logical values (mutable-region rows and
-    /// the oracle executor).
-    pub fn eval_row(&self, value_of: &impl Fn(&str) -> Value) -> bool {
-        match self {
-            Predicate::Cmp { column, op, value } => {
-                let v = value_of(column);
-                match (&v, value) {
-                    (Value::Str(a), Value::Str(b)) => op.eval(&**a, &**b),
-                    _ => op.eval(
-                        // PANIC: plan construction rejected mixed string /
-                        // integer comparisons, so both sides are integer-like.
-                        v.as_storage_i64().expect("typed"),
-                        value.as_storage_i64().expect("typed"), // PANIC: see above
-                    ),
-                }
-            }
-            Predicate::Between { column, lo, hi } => {
-                // PANIC: BETWEEN is integer-only by construction (plan
-                // compilation rejects string bounds), same on both lines.
-                let v = value_of(column).as_storage_i64().expect("typed");
-                // PANIC: same integer-only BETWEEN construction as above.
-                v >= lo.as_storage_i64().expect("typed") && v <= hi.as_storage_i64().expect("typed")
-            }
-            Predicate::And(preds) => preds.iter().all(|p| p.eval_row(value_of)),
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -380,7 +353,7 @@ impl ResolvedPredicate {
                     apply_domain_cmp_packed(d.codes(), dc, start, out, scratch, level);
                 }
                 // PANIC: string columns always dictionary-encode (see
-                // `encode_strings`), so StrCmp only meets StrDict.
+                // `segment::encode_str_column`), so StrCmp only meets StrDict.
                 other => unreachable!("string column encoded as {:?}", other.encoding()),
             },
             PNode::And(nodes) => {
@@ -890,7 +863,7 @@ mod tests {
         let seg = &table.segments()[0];
         (0..seg.num_rows())
             .map(|i| {
-                pred.eval_row(&|name| {
+                crate::reference::eval_predicate(pred, &|name| {
                     let c = table.column_index(name).unwrap();
                     match seg.column(c) {
                         EncodedColumn::StrDict(d) => Value::Str(d.get(i).into()),

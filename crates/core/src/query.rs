@@ -11,10 +11,8 @@
 //! with optional filters and aggregates, one or more group-by columns, and
 //! sums over arbitrary arithmetic expressions. [`QueryBuilder`] assembles a
 //! [`Query`]; [`execute`] runs it against a [`Table`], scanning immutable
-//! segments with the vectorized engine and the (small) mutable region
-//! row-at-a-time. Results are ordered by the group-by key.
-
-use std::collections::BTreeMap;
+//! segments with the vectorized engine and the (small) mutable region as
+//! one more, transient, segment. Results are ordered by the group-by key.
 
 use bipie_columnstore::{LogicalType, Table, Value};
 use bipie_toolbox::SimdLevel;
@@ -407,27 +405,30 @@ fn execute_inner(table: &Table, query: &Query) -> Result<QueryResult> {
     let sum_exprs = resolved;
     let filter = query.filter.as_ref().map(|f| f.resolve(table)).transpose()?;
 
-    let scan_opts = query.options.to_scan_options();
-    let (mut merged, mut stats, mut profile) =
-        scan_table(table, filter.as_ref(), &group_cols, &sum_exprs, &mm_exprs, &scan_opts)?;
-
-    // The mutable region is processed row-at-a-time (§2.1: it is a small,
-    // uncompressed fraction of recent rows).
+    // The mutable region (§2.1: a small, uncompressed fraction of recent
+    // rows) is encoded once per query into a transient segment, which the
+    // scan plans and runs like any stored one. The `MutableTail` span times
+    // that build; the tail's scan shows up as ordinary segment spans.
     let mut tail_tracer = Tracer::new(query.options.profile, 0);
     let tail_start = tail_tracer.start();
-    process_mutable_region(
-        table,
-        query,
-        &group_cols,
-        &sum_exprs_src,
-        &mm_exprs_src,
-        &mut merged,
-        &mut stats,
-    );
+    let tail = table.tail_segment();
+    let mutable_rows = table.mutable_rows().len();
     // Close unconditionally: a zero-row tail still accounts its (tiny)
-    // walk of the mutable region, and a conditionally-consumed span token
+    // look at the mutable region, and a conditionally-consumed span token
     // is exactly what the span-balance audit pass rejects.
-    tail_tracer.span(Phase::MutableTail, SpanLoc::none(), stats.mutable_rows as u64, tail_start);
+    tail_tracer.span(Phase::MutableTail, SpanLoc::none(), mutable_rows as u64, tail_start);
+
+    let scan_opts = query.options.to_scan_options();
+    let (merged, mut stats, mut profile) = scan_table(
+        table,
+        tail.as_ref(),
+        filter.as_ref(),
+        &group_cols,
+        &sum_exprs,
+        &mm_exprs,
+        &scan_opts,
+    )?;
+    stats.mutable_rows = mutable_rows;
     profile.absorb(tail_tracer);
 
     let rows = merged
@@ -470,55 +471,6 @@ fn check_expr_types(table: &Table, expr: &Expr) -> Result<()> {
         }
     }
     Ok(())
-}
-
-fn process_mutable_region(
-    table: &Table,
-    query: &Query,
-    group_cols: &[(usize, LogicalType)],
-    sum_exprs: &[&Expr],
-    mm_exprs: &[&Expr],
-    merged: &mut BTreeMap<Vec<Value>, GroupAcc>,
-    stats: &mut ExecStats,
-) {
-    let rows = table.mutable_rows();
-    if rows.is_empty() {
-        return;
-    }
-    stats.mutable_rows = rows.len();
-    for row in rows {
-        let value_of =
-            // PANIC: every referenced column resolved during plan validation.
-            |name: &str| -> Value { row[table.column_index(name).expect("resolved")].clone() };
-        if let Some(f) = &query.filter {
-            if !f.eval_row(&value_of) {
-                continue;
-            }
-        }
-        let key: Vec<Value> = group_cols.iter().map(|&(idx, _)| row[idx].clone()).collect();
-        let acc = merged.entry(key).or_insert_with(|| GroupAcc {
-            count: 0,
-            sums: vec![0; sum_exprs.len()],
-            mins: vec![i64::MAX; mm_exprs.len()],
-            maxs: vec![i64::MIN; mm_exprs.len()],
-        });
-        acc.count += 1;
-        let eval = |e: &Expr| -> i64 {
-            // PANIC: both expects repeat checks plan validation already made —
-            // columns resolve, and aggregate inputs are integer-like.
-            let resolved = e.resolve(&|n| table.column_index(n)).expect("resolved");
-            // PANIC: aggregate inputs are integer-like per plan validation.
-            resolved.eval_row(&|idx| row[idx].as_storage_i64().expect("integer-like"))
-        };
-        for (s, e) in acc.sums.iter_mut().zip(sum_exprs) {
-            *s += eval(e);
-        }
-        for (j, e) in mm_exprs.iter().enumerate() {
-            let v = eval(e);
-            acc.mins[j] = acc.mins[j].min(v);
-            acc.maxs[j] = acc.maxs[j].max(v);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! strategy specialization, no shared kernels. It exists purely as the
 //! correctness oracle: property tests assert that the BIPie engine and this
 //! executor produce identical results on arbitrary tables and queries.
+//! Its row evaluators ([`eval_predicate`], [`eval_expr`]) walk the query's
+//! own trees by column name; the engine has no per-row evaluator at all.
 
 use std::collections::BTreeMap;
 
@@ -12,8 +14,48 @@ use bipie_columnstore::encoding::EncodedColumn;
 use bipie_columnstore::{Table, Value};
 
 use crate::error::{EngineError, Result};
+use crate::expr::Expr;
+use crate::filter::Predicate;
 use crate::query::{AggExpr, AggValue, Query, QueryResult, ResultRow};
 use crate::stats::ExecStats;
+
+/// Evaluate `pred` on one row, given each named column's logical value.
+pub fn eval_predicate(pred: &Predicate, value_of: &impl Fn(&str) -> Value) -> bool {
+    match pred {
+        Predicate::Cmp { column, op, value } => {
+            let v = value_of(column);
+            match (&v, value) {
+                (Value::Str(a), Value::Str(b)) => op.eval(&**a, &**b),
+                _ => op.eval(
+                    // PANIC: plan construction rejected mixed string /
+                    // integer comparisons, so both sides are integer-like.
+                    v.as_storage_i64().expect("typed"),
+                    value.as_storage_i64().expect("typed"), // PANIC: see above
+                ),
+            }
+        }
+        Predicate::Between { column, lo, hi } => {
+            // PANIC: BETWEEN is integer-only by construction (plan
+            // compilation rejects string bounds), same on both lines.
+            let v = value_of(column).as_storage_i64().expect("typed");
+            // PANIC: same integer-only BETWEEN construction as above.
+            v >= lo.as_storage_i64().expect("typed") && v <= hi.as_storage_i64().expect("typed")
+        }
+        Predicate::And(preds) => preds.iter().all(|p| eval_predicate(p, value_of)),
+    }
+}
+
+/// Evaluate `expr` on one row, given each named column's storage integer.
+pub fn eval_expr(expr: &Expr, value_of: &impl Fn(&str) -> i64) -> i64 {
+    match expr {
+        Expr::Col(name) => value_of(name),
+        Expr::Lit(v) => *v,
+        Expr::Add(a, b) => eval_expr(a, value_of) + eval_expr(b, value_of),
+        Expr::Sub(a, b) => eval_expr(a, value_of) - eval_expr(b, value_of),
+        Expr::Mul(a, b) => eval_expr(a, value_of) * eval_expr(b, value_of),
+        Expr::Neg(a) => -eval_expr(a, value_of),
+    }
+}
 
 /// Execute `query` row-at-a-time. Produces rows ordered by group key, the
 /// same contract as [`crate::execute`].
@@ -30,13 +72,22 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
         query.aggregates.iter().filter(|a| matches!(a, AggExpr::Sum(_) | AggExpr::Avg(_))).count();
     let num_mm =
         query.aggregates.iter().filter(|a| matches!(a, AggExpr::Min(_) | AggExpr::Max(_))).count();
+    for agg in &query.aggregates {
+        if let AggExpr::Sum(e) | AggExpr::Avg(e) | AggExpr::Min(e) | AggExpr::Max(e) = agg {
+            for name in e.referenced_columns() {
+                table
+                    .column_index(name)
+                    .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
+            }
+        }
+    }
     type Acc = (u64, Vec<i64>, Vec<i64>, Vec<i64>);
     let mut groups: BTreeMap<Vec<Value>, Acc> = BTreeMap::new();
 
-    let mut process_row = |value_of: &dyn Fn(&str) -> Value| -> Result<()> {
+    let mut process_row = |value_of: &dyn Fn(&str) -> Value| {
         if let Some(f) = &query.filter {
-            if !f.eval_row(&|n| value_of(n)) {
-                return Ok(());
+            if !eval_predicate(f, &|n| value_of(n)) {
+                return;
             }
         }
         let key: Vec<Value> = query.group_by.iter().map(|n| value_of(n)).collect();
@@ -44,26 +95,25 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
             (0, vec![0i64; num_sums], vec![i64::MAX; num_mm], vec![i64::MIN; num_mm])
         });
         entry.0 += 1;
-        let eval = |e: &crate::expr::Expr| -> Result<i64> {
-            let resolved = e.resolve(&|n| table.column_index(n))?;
-            Ok(resolved.eval_row(&|idx| {
-                value_of(&table.specs()[idx].name)
+        let eval = |e: &Expr| -> i64 {
+            eval_expr(e, &|n| {
+                value_of(n)
                     .as_storage_i64()
                     // PANIC: aggregate inputs were type-checked as
                     // integer-like when the query was validated.
                     .expect("integer-like aggregate input")
-            }))
+            })
         };
         let mut slot = 0usize;
         let mut mm_slot = 0usize;
         for agg in &query.aggregates {
             match agg {
                 AggExpr::Sum(e) | AggExpr::Avg(e) => {
-                    entry.1[slot] += eval(e)?;
+                    entry.1[slot] += eval(e);
                     slot += 1;
                 }
                 AggExpr::Min(e) | AggExpr::Max(e) => {
-                    let v = eval(e)?;
+                    let v = eval(e);
                     entry.2[mm_slot] = entry.2[mm_slot].min(v);
                     entry.3[mm_slot] = entry.3[mm_slot].max(v);
                     mm_slot += 1;
@@ -71,7 +121,6 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
                 AggExpr::CountStar => {}
             }
         }
-        Ok(())
     };
 
     for seg in table.segments() {
@@ -102,14 +151,14 @@ pub fn execute_reference(table: &Table, query: &Query) -> Result<QueryResult> {
                     other => Value::from_storage_i64(table.specs()[idx].ty, other.get_i64(row)),
                 }
             };
-            process_row(&value_of)?;
+            process_row(&value_of);
         }
     }
     for row in table.mutable_rows() {
         let value_of =
             // PANIC: query validation resolved every column name.
             |name: &str| -> Value { row[table.column_index(name).expect("known column")].clone() };
-        process_row(&value_of)?;
+        process_row(&value_of);
     }
 
     let rows = groups

@@ -168,11 +168,14 @@ const PARALLEL_MERGE_MIN_GROUPS: usize = 128;
 /// Merged per-group totals, ordered by group-by key values.
 type GroupMap = BTreeMap<Vec<Value>, GroupAcc>;
 
-/// Scan every segment of `table`, returning merged per-group totals keyed
-/// by the group-by values, plus execution stats and the (possibly empty)
-/// query profile.
+/// Scan every segment of `table`, then `tail` — the mutable region encoded
+/// as a transient segment ([`Table::tail_segment`]) — returning merged
+/// per-group totals keyed by the group-by values, plus execution stats and
+/// the (possibly empty) query profile. The tail is planned and scanned
+/// exactly like a stored segment, with ordinal `table.segments().len()`.
 pub fn scan_table(
     table: &Table,
+    tail: Option<&Segment>,
     filter: Option<&ResolvedPredicate>,
     group_cols: &[(usize, LogicalType)],
     sum_exprs: &[ResolvedExpr],
@@ -201,7 +204,7 @@ pub fn scan_table(
     // segment ordinal rides along as the id trace events carry.
     let plan_start = coord.start();
     let planned =
-        plan_segments(table, filter, group_cols, sum_exprs, mm_exprs, &governor, &mut stats);
+        plan_segments(table, tail, filter, group_cols, sum_exprs, mm_exprs, &governor, &mut stats);
     // Close on the planning *result*: a plan-time error (overflow proof,
     // budget rejection) must not drop the `Phase::Plan` span.
     coord.span(Phase::Plan, SpanLoc::none(), stats.rows_scanned as u64, plan_start);
@@ -226,14 +229,16 @@ pub fn scan_table(
     Ok((merged, stats, profile))
 }
 
-/// Admission planning for [`scan_table`]: walk the segments once, skipping
-/// empty and filter-eliminated ones, proving overflow/min-max safety, and
-/// admitting wide-group projections against the memory budget. Split out so
-/// the coordinator can bracket exactly this fallible region with the
-/// [`Phase::Plan`] span — the span closes on the planning result before any
-/// error propagates.
+/// Admission planning for [`scan_table`]: walk the segments (the transient
+/// tail last) once, skipping empty and filter-eliminated ones, proving
+/// overflow/min-max safety, and admitting the tail's bytes and wide-group
+/// projections against the memory budget. Split out so the coordinator can
+/// bracket exactly this fallible region with the [`Phase::Plan`] span — the
+/// span closes on the planning result before any error propagates.
+#[allow(clippy::too_many_arguments)] // the scan's plan inputs, passed through
 fn plan_segments<'t>(
     table: &'t Table,
+    tail: Option<&'t Segment>,
     filter: Option<&ResolvedPredicate>,
     group_cols: &[(usize, LogicalType)],
     sum_exprs: &[ResolvedExpr],
@@ -241,8 +246,16 @@ fn plan_segments<'t>(
     governor: &Governor,
     stats: &mut ExecStats,
 ) -> Result<Vec<(u32, &'t Segment)>> {
+    if let Some(tail) = tail {
+        // The transient tail is held for the whole query, eliminated or
+        // not, so its encoded bytes must fit the budget.
+        if governor.accounts_memory() {
+            stats.governor_checks += 1;
+            governor.admit_projection(tail.encoded_bytes())?;
+        }
+    }
     let mut planned: Vec<(u32, &Segment)> = Vec::new();
-    for (seg_index, seg) in table.segments().iter().enumerate() {
+    for (seg_index, seg) in table.segments().iter().chain(tail).enumerate() {
         if seg.num_rows() == 0 || seg.live_rows() == 0 {
             continue;
         }
@@ -1510,9 +1523,16 @@ mod tests {
     fn multi_segment_merge() {
         let t = table(1000, 300); // 4 segments
         let expr = v_expr(&t);
-        let (groups, stats, _) =
-            scan_table(&t, None, &[(0, LogicalType::Str)], &[expr], &[], &ScanOptions::default())
-                .unwrap();
+        let (groups, stats, _) = scan_table(
+            &t,
+            None,
+            None,
+            &[(0, LogicalType::Str)],
+            &[expr],
+            &[],
+            &ScanOptions::default(),
+        )
+        .unwrap();
         assert_eq!(stats.segments_scanned, 4);
         assert_eq!(groups.len(), 3);
         let total: u64 = groups.values().map(|g| g.count).sum();
@@ -1532,6 +1552,7 @@ mod tests {
         let pred = Predicate::lt("v", Value::I64(100)).resolve(&t).unwrap();
         let (groups, stats, _) = scan_table(
             &t,
+            None,
             Some(&pred),
             &[(0, LogicalType::Str)],
             &[expr],
@@ -1551,9 +1572,16 @@ mod tests {
         t.segment_mut(0).delete_row(0);
         t.segment_mut(0).delete_row(1);
         let expr = v_expr(&t);
-        let (groups, _, _) =
-            scan_table(&t, None, &[(0, LogicalType::Str)], &[expr], &[], &ScanOptions::default())
-                .unwrap();
+        let (groups, _, _) = scan_table(
+            &t,
+            None,
+            None,
+            &[(0, LogicalType::Str)],
+            &[expr],
+            &[],
+            &ScanOptions::default(),
+        )
+        .unwrap();
         let total: u64 = groups.values().map(|g| g.count).sum();
         assert_eq!(total, 298);
         let sum: i64 = groups.values().map(|g| g.sums[0]).sum();
@@ -1569,7 +1597,8 @@ mod tests {
         }
         let t = b.finish();
         let expr = Expr::col("v").mul(Expr::col("v")).resolve(&|n| t.column_index(n)).unwrap();
-        let err = scan_table(&t, None, &[], &[expr], &[], &ScanOptions::default()).unwrap_err();
+        let err =
+            scan_table(&t, None, None, &[], &[expr], &[], &ScanOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::PotentialOverflow { aggregate: 0 }));
     }
 
@@ -1580,6 +1609,7 @@ mod tests {
         let pred = Predicate::ge("v", Value::I64(500)).resolve(&t).unwrap();
         let baseline = scan_table(
             &t,
+            None,
             Some(&pred),
             &[(0, LogicalType::Str)],
             std::slice::from_ref(&expr),
@@ -1599,6 +1629,7 @@ mod tests {
                 };
                 let (groups, stats, _) = scan_table(
                     &t,
+                    None,
                     Some(&pred),
                     &[(0, LogicalType::Str)],
                     std::slice::from_ref(&expr),
@@ -1635,6 +1666,7 @@ mod tests {
         let opts = ScanOptions { parallel: false, ..Default::default() };
         let (groups, stats, _) = scan_table(
             &t,
+            None,
             Some(&pred),
             &[],
             std::slice::from_ref(&expr),
@@ -1659,6 +1691,7 @@ mod tests {
         };
         let (fallback, fstats, _) = scan_table(
             &t,
+            None,
             Some(&pred),
             &[],
             std::slice::from_ref(&expr),
@@ -1683,11 +1716,19 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let (groups, stats, _) =
-            scan_table(&t, None, &[(0, LogicalType::Str)], std::slice::from_ref(&expr), &[], &opts)
-                .unwrap();
+        let (groups, stats, _) = scan_table(
+            &t,
+            None,
+            None,
+            &[(0, LogicalType::Str)],
+            std::slice::from_ref(&expr),
+            &[],
+            &opts,
+        )
+        .unwrap();
         let baseline = scan_table(
             &t,
+            None,
             None,
             &[(0, LogicalType::Str)],
             std::slice::from_ref(&expr),
@@ -1710,6 +1751,7 @@ mod tests {
         let (serial, _, _) = scan_table(
             &t,
             None,
+            None,
             &[(0, LogicalType::Str)],
             std::slice::from_ref(&expr),
             &[],
@@ -1726,6 +1768,7 @@ mod tests {
             };
             let (par, stats, _) = scan_table(
                 &t,
+                None,
                 None,
                 &[(0, LogicalType::Str)],
                 std::slice::from_ref(&expr),
@@ -1753,8 +1796,8 @@ mod tests {
             ),
             (ScanOptions { mem_budget: Some(0), ..Default::default() }, "mem_budget"),
         ] {
-            let err =
-                scan_table(&t, None, &[], std::slice::from_ref(&expr), &[], &opts).unwrap_err();
+            let err = scan_table(&t, None, None, &[], std::slice::from_ref(&expr), &[], &opts)
+                .unwrap_err();
             assert!(
                 matches!(err, EngineError::InvalidOptions { option: o, .. } if o == option),
                 "{err:?}"
@@ -1794,6 +1837,7 @@ mod tests {
         let planned = plan_segments(
             &t,
             None,
+            None,
             &[(0, LogicalType::Str)],
             std::slice::from_ref(&expr),
             &[],
@@ -1813,9 +1857,17 @@ mod tests {
         let t2 = b.finish();
         let sq = Expr::col("v").mul(Expr::col("v")).resolve(&|n| t2.column_index(n)).unwrap();
         let mut stats2 = ExecStats::default();
-        let err =
-            plan_segments(&t2, None, &[], std::slice::from_ref(&sq), &[], &governor, &mut stats2)
-                .unwrap_err();
+        let err = plan_segments(
+            &t2,
+            None,
+            None,
+            &[],
+            std::slice::from_ref(&sq),
+            &[],
+            &governor,
+            &mut stats2,
+        )
+        .unwrap_err();
         assert!(matches!(err, EngineError::PotentialOverflow { aggregate: 0 }), "{err:?}");
     }
 

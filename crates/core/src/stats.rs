@@ -38,7 +38,9 @@ pub struct ExecStats {
     /// Encoded bytes of scanned segments (the compressed footprint the
     /// scan actually read, not the decoded width). Additive.
     pub bytes_scanned: usize,
-    /// Rows from the mutable region processed row-at-a-time. Additive.
+    /// Rows in the mutable region, scanned as the query's transient tail
+    /// segment (which also counts in `segments_scanned` and friends).
+    /// Additive.
     pub mutable_rows: usize,
     /// Batches per selection strategy, indexed by [`SelectionStrategy`].
     /// Additive.

@@ -80,7 +80,8 @@ pub enum Phase {
     Aggregation = 4,
     /// One batch through the wide-group (u32 group id) scalar fallback.
     WideGroup = 5,
-    /// The row-at-a-time mutable-region pass.
+    /// Encoding the mutable region into the query's transient tail
+    /// segment (its scan records ordinary [`Phase::SegmentScan`] spans).
     MutableTail = 6,
     /// Phase-2 reduction of per-worker hash partitions.
     ParallelMerge = 7,
@@ -684,9 +685,14 @@ impl QueryProfile {
         for &seg in &segments {
             out.push_str(&self.render_segment(seg));
         }
+        // The tail's scan renders above as the last segment; this line is
+        // the cost of encoding it.
         let tail = self.phase(Phase::MutableTail);
         if tail.count > 0 {
-            out.push_str(&format!("├─ mutable tail  rows={}  cycles={}\n", tail.rows, tail.cycles));
+            out.push_str(&format!(
+                "├─ mutable tail build  rows={}  cycles={}\n",
+                tail.rows, tail.cycles
+            ));
         }
         let merge = self.phase(Phase::ParallelMerge);
         if merge.count > 0 {

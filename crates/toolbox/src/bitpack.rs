@@ -82,30 +82,48 @@ impl PackedVec {
     /// Panics if any value does not fit in `bits` bits, or `bits` is not in
     /// `1..=64`.
     pub fn pack(values: &[u64], bits: u8) -> PackedVec {
-        assert!((1..=MAX_BITS).contains(&bits), "bit width {bits} out of range 1..=64");
         debug_assert_values_fit(values, bits);
+        Self::pack_iter(values.iter().copied(), bits)
+    }
+
+    /// [`pack`](Self::pack) for values produced on the fly (e.g. normalized
+    /// or remapped as they are read), so no staging buffer is needed.
+    ///
+    /// # Panics
+    /// As [`pack`](Self::pack), and if the iterator yields a different
+    /// number of values than its `len()` reported.
+    pub fn pack_iter(values: impl ExactSizeIterator<Item = u64>, bits: u8) -> PackedVec {
+        assert!((1..=MAX_BITS).contains(&bits), "bit width {bits} out of range 1..=64");
         let limit_check = bits < 64;
         let limit = if limit_check { 1u64 << bits } else { 0 };
-        let total_bits = values.len() * bits as usize;
-        let data_bytes = total_bits.div_ceil(8);
-        let mut bytes = vec![0u8; data_bytes + 8];
-        let mut bit_pos = 0usize;
-        for &v in values {
+        let len = values.len();
+        let data_bytes = (len * bits as usize).div_ceil(8);
+        let mut bytes = Vec::with_capacity(data_bytes + 8);
+        // Stream the values through a 128-bit accumulator and emit whole
+        // little-endian words: one store per 64 packed bits rather than a
+        // read-modify-write per value. `filled` stays below 64 between
+        // values, so a value of up to 64 bits always fits.
+        let mut acc: u128 = 0;
+        let mut filled = 0u32;
+        let mut packed = 0usize;
+        for v in values {
             assert!(!limit_check || v < limit, "value {v} does not fit in {bits} bits");
-            let byte = bit_pos >> 3;
-            let shift = (bit_pos & 7) as u32;
-            // Write up to 9 bytes touched by a 64-bit value at bit offset.
-            let lo = v << shift;
-            write_u64_le_or(&mut bytes, byte, lo);
-            if shift > 0 {
-                let hi = v >> (64 - shift);
-                if hi != 0 {
-                    bytes[byte + 8] |= hi as u8;
-                }
+            packed += 1;
+            acc |= (v as u128) << filled;
+            filled += bits as u32;
+            if filled >= 64 {
+                bytes.extend_from_slice(&(acc as u64).to_le_bytes());
+                acc >>= 64;
+                filled -= 64;
             }
-            bit_pos += bits as usize;
         }
-        PackedVec { bits, len: values.len(), bytes }
+        assert_eq!(packed, len, "iterator yielded a different count than its length");
+        if filled > 0 {
+            bytes.extend_from_slice(&(acc as u64).to_le_bytes());
+        }
+        // At most `data_bytes + 7` bytes were written; zero-pad the rest.
+        bytes.resize(data_bytes + 8, 0);
+        PackedVec { bits, len, bytes }
     }
 
     /// Pack values using the minimal bit width for their maximum.
@@ -295,12 +313,6 @@ pub fn debug_assert_values_fit(values: &[u64], bits: u8) {
 fn read_u64_le(bytes: &[u8], offset: usize) -> u64 {
     // PANIC: the 8-byte slice is exact, so try_into must fit.
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap())
-}
-
-#[inline]
-fn write_u64_le_or(bytes: &mut [u8], offset: usize, value: u64) {
-    let existing = read_u64_le(bytes, offset);
-    bytes[offset..offset + 8].copy_from_slice(&(existing | value).to_le_bytes());
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -664,6 +676,37 @@ mod tests {
         assert_eq!(pv.bits(), 3);
         let pv = PackedVec::pack_minimal(&[0]);
         assert_eq!(pv.bits(), 1);
+    }
+
+    /// The layout stated in the module docs, built one value at a time:
+    /// value `i` OR-ed in at bit `i * bits` of a zeroed, 8-byte-padded
+    /// buffer.
+    fn pack_bit_by_bit(values: &[u64], bits: u8) -> Vec<u8> {
+        let mut bytes = vec![0u8; (values.len() * bits as usize).div_ceil(8) + 8];
+        for (i, &v) in values.iter().enumerate() {
+            for b in 0..bits as usize {
+                if v >> b & 1 == 1 {
+                    let at = i * bits as usize + b;
+                    bytes[at / 8] |= 1 << (at % 8);
+                }
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn word_streaming_pack_matches_the_bit_layout() {
+        let mut rng = crate::rng::Rng::seed_from_u64(0xB175);
+        for bits in 1..=64u8 {
+            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 200] {
+                let values: Vec<u64> =
+                    (0..n).map(|_| rng.random::<u64>() & mask_for(bits)).collect();
+                let pv = PackedVec::pack(&values, bits);
+                assert_eq!(pv.bytes_padded(), &pack_bit_by_bit(&values, bits)[..], "{bits}x{n}");
+                let iter = PackedVec::pack_iter(values.iter().copied(), bits);
+                assert_eq!(iter, pv, "{bits}x{n}");
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub const CORE_LAYERS: &[(&str, &[&str])] = &[
             "trace",
         ],
     ),
-    ("reference", &["error", "query", "stats"]),
+    // The oracle walks the query's own `Expr`/`Predicate` trees with its
+    // row evaluators, so it names those types — but calls no engine code.
+    ("reference", &["error", "expr", "filter", "query", "stats"]),
     ("engine", &["error", "governor", "pool", "query", "stats", "telemetry"]),
 ];
 

@@ -5,11 +5,17 @@
 
 mod common;
 
-use bipie::columnstore::encoding::{encode_ints, EncodedColumn, EncodingHint};
+use bipie::columnstore::encoding::{encode_ints, EncodedColumn, EncodingHint, StrDictColumn};
 use bipie::columnstore::{
     ColumnSpec, Date, DeletedBitmap, LogicalType, Table, TableBuilder, Value,
 };
+use bipie::toolbox::bitpack::{min_bits, PackedVec};
 use common::{run_cases, Gen};
+
+/// Per-segment `encoded_bytes` of `generate_lineitem(0.01, 1 << 14)`.
+const LINEITEM_SEGMENT_BYTES: &[usize] = &[110_821, 110_821, 110_821, 73_413];
+/// Per-segment `encoded_bytes` of `every_encoding_table(100_000, 32_768)`.
+const EVERY_ENCODING_SEGMENT_BYTES: &[usize] = &[214_044, 214_056, 214_056, 11_476];
 
 const HINTS: [EncodingHint; 5] = [
     EncodingHint::Auto,
@@ -222,4 +228,139 @@ fn mutable_flush_is_equivalent_to_bulk_load() {
         out
     };
     assert_eq!(read_all(&bulk), read_all(&incremental));
+}
+
+/// The obvious sort-based dictionary encoder: sort and dedup every value,
+/// then binary-search each row's code.
+fn naive_str_dict(values: &[String]) -> (Vec<String>, PackedVec) {
+    let mut dict = values.to_vec();
+    dict.sort();
+    dict.dedup();
+    let codes: Vec<u64> =
+        values.iter().map(|v| dict.binary_search(v).expect("in dict") as u64).collect();
+    let bits = min_bits(dict.len().saturating_sub(1) as u64);
+    (dict, PackedVec::pack(&codes, bits))
+}
+
+fn assert_dict_matches_naive(values: &[String]) {
+    let col = StrDictColumn::encode(values);
+    let (dict, codes) = naive_str_dict(values);
+    assert_eq!(col.dict(), &dict[..], "dictionary for {values:?}");
+    assert_eq!(col.codes(), &codes, "packed codes for {values:?}");
+}
+
+#[test]
+fn string_dictionary_matches_a_naive_sort_based_encoder() {
+    let owned = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    for fixed in [
+        owned(&[]),
+        owned(&[""]),
+        owned(&["", "", "a", ""]),
+        owned(&["x"; 50]),
+        owned(&["ß", "a", "Ä", "z", "日本", "ä", "A", "日", "ß", "€"]),
+    ] {
+        assert_dict_matches_naive(&fixed);
+    }
+    // Multi-byte code points and the empty string next to short ASCII.
+    const ALPHABET: [&str; 8] = ["a", "b", "Z", "é", "日", "€", "\u{0}", "ß"];
+    run_cases("string_dictionary_matches_a_naive_sort_based_encoder", 200, |g| {
+        let distinct: Vec<String> = match g.int(0u8..3) {
+            // One distinct value, repeated.
+            0 => vec![g.vec_of(0..6, |g| *g.pick(&ALPHABET)).concat()],
+            // A handful of values: heavy duplication.
+            1 => g.vec_of(1..8, |g| g.vec_of(0..4, |g| *g.pick(&ALPHABET)).concat()),
+            // Many values: mostly distinct, wider codes.
+            _ => g.vec_of(1..600, |g| g.vec_of(0..10, |g| *g.pick(&ALPHABET)).concat()),
+        };
+        let values: Vec<String> = g.vec_of(0..1_500, |g| g.pick(&distinct).clone());
+        assert_dict_matches_naive(&values);
+    });
+}
+
+/// A table in every encoding: bit-packed 3/7/13/20-bit columns, a string
+/// dictionary, sorted RLE and sorted delta columns, and an `Auto` column.
+fn every_encoding_table(rows: i64, segment_rows: usize) -> Table {
+    let mut t = TableBuilder::with_segment_rows(
+        vec![
+            ColumnSpec::new("b3", LogicalType::I64).with_hint(EncodingHint::BitPack),
+            ColumnSpec::new("b7", LogicalType::I64).with_hint(EncodingHint::BitPack),
+            ColumnSpec::new("b13", LogicalType::I64).with_hint(EncodingHint::BitPack),
+            ColumnSpec::new("b20", LogicalType::Decimal).with_hint(EncodingHint::BitPack),
+            ColumnSpec::new("s", LogicalType::Str),
+            ColumnSpec::new("rle", LogicalType::I64).with_hint(EncodingHint::Rle),
+            ColumnSpec::new("delta", LogicalType::Date).with_hint(EncodingHint::Delta),
+            ColumnSpec::new("auto", LogicalType::I64),
+        ],
+        segment_rows,
+    );
+    let names = ["AIR", "MAIL", "RAIL", "SHIP", "TRUCK", "REG AIR", "FOB", "ü"];
+    for i in 0..rows {
+        let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64).rotate_left(17);
+        t.push_row(vec![
+            Value::I64(x & 7),
+            Value::I64((x >> 3) & 127),
+            Value::I64(((x >> 10) & 8191) - 4_000),
+            Value::Decimal((x >> 23) & 0xF_FFFF),
+            Value::Str(names[((x >> 43) & 7) as usize].into()),
+            Value::I64(i / 997),
+            Value::Date(Date(8_000 + (i / 3) as i32)),
+            Value::I64(((x >> 47) & 31) * 1_000_003),
+        ]);
+    }
+    t.finish()
+}
+
+#[test]
+fn flushed_encoded_bytes_are_pinned() {
+    // Pinned from the sort-based string encoder and the read-modify-write
+    // bit packer these replaced: flush output is byte-for-byte unchanged.
+    let bytes = |t: &Table| t.segments().iter().map(|s| s.encoded_bytes()).collect::<Vec<_>>();
+    let lineitem = bipie::tpch::generate_lineitem(0.01, 1 << 14);
+    assert_eq!(bytes(&lineitem), LINEITEM_SEGMENT_BYTES);
+    assert_eq!(bytes(&every_encoding_table(100_000, 32_768)), EVERY_ENCODING_SEGMENT_BYTES);
+}
+
+#[test]
+fn tail_segment_is_bit_packed_and_leaves_the_table_alone() {
+    let mut t = Table::with_segment_rows(
+        vec![
+            ColumnSpec::new("s", LogicalType::Str),
+            ColumnSpec::new("r", LogicalType::I64).with_hint(EncodingHint::Rle),
+            ColumnSpec::new("d", LogicalType::Date).with_hint(EncodingHint::Delta),
+        ],
+        1 << 20,
+    );
+    assert!(t.tail_segment().is_none(), "an empty tail has no segment");
+    let rows: Vec<Vec<Value>> = (0..3_000i64)
+        .map(|i| {
+            vec![
+                Value::Str(["n", "é", ""][(i % 3) as usize].into()),
+                Value::I64(i / 100 - 7),
+                Value::Date(Date(10_000 + i as i32)),
+            ]
+        })
+        .collect();
+    for row in &rows {
+        t.insert(row.clone());
+    }
+    let tail = t.tail_segment().unwrap();
+    assert_eq!(t.mutable_rows().len(), rows.len(), "the tail stays in the table");
+    assert!(t.segments().is_empty());
+    assert_eq!(tail.num_rows(), rows.len());
+    // Integers are bit packed whatever the column hints say.
+    assert_eq!(tail.column(1).encoding(), bipie::columnstore::Encoding::BitPack);
+    assert_eq!(tail.column(2).encoding(), bipie::columnstore::Encoding::BitPack);
+    for (r, row) in rows.iter().enumerate() {
+        match tail.column(0) {
+            EncodedColumn::StrDict(d) => assert_eq!(Value::Str(d.get(r).into()), row[0]),
+            other => panic!("strings must dict-encode, got {:?}", other.encoding()),
+        }
+        assert_eq!(tail.column(1).get_i64(r), row[1].as_storage_i64().unwrap());
+        assert_eq!(tail.column(2).get_i64(r), row[2].as_storage_i64().unwrap());
+    }
+    assert_eq!((tail.meta(1).min, tail.meta(1).max), (-7, 22));
+    // Flushing afterwards still honours the hints.
+    t.flush_mutable();
+    assert_eq!(t.segments()[0].column(1).encoding(), bipie::columnstore::Encoding::Rle);
+    assert_eq!(t.segments()[0].column(2).encoding(), bipie::columnstore::Encoding::Delta);
 }

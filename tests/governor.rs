@@ -191,3 +191,64 @@ fn cancelling_after_completion_changes_nothing() {
     let err = execute(&t, &the_query(opts)).unwrap_err();
     assert!(matches!(err, EngineError::Cancelled), "{err:?}");
 }
+
+/// A table with no segments: all `rows` sit in the mutable tail.
+fn tail_only_table(rows: usize, groups: i64) -> Table {
+    let mut t = table(&[], groups);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..rows {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let x = (state >> 33) as i64;
+        t.insert(vec![
+            Value::I64(x % groups),
+            Value::I64(x % 10_000 - 5_000),
+            Value::I64(x % 1_000),
+        ]);
+    }
+    t
+}
+
+#[test]
+fn tail_bytes_are_admitted_at_plan_time() {
+    // The transient tail segment is held for the whole query, so a budget
+    // below its encoded size fails at plan time with exactly that request.
+    let t = tail_only_table(20_000, 9);
+    let tail_bytes = t.tail_segment().unwrap().encoded_bytes();
+    for opts in [serial(), parallel(4)] {
+        let opts = QueryOptions { mem_budget: Some(tail_bytes - 1), ..opts };
+        let err = execute(&t, &the_query(opts)).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::MemoryBudgetExceeded { budget: tail_bytes - 1, requested: tail_bytes }
+        );
+    }
+    // A budget that covers the tail and the scan's buffers changes nothing.
+    let free = execute(&t, &the_query(serial())).unwrap();
+    let governed = execute(&t, &the_query(QueryOptions { mem_budget: Some(1 << 30), ..serial() }));
+    assert_eq!(governed.unwrap().rows, free.rows);
+}
+
+#[test]
+fn tail_only_scans_reach_governor_checkpoints() {
+    let t = tail_only_table(20_000, 9);
+    for opts in [serial(), parallel(4)] {
+        let batch_rows = opts.batch_rows;
+        // An armed but untripped governor: every tail batch is a checkpoint.
+        let token = CancelToken::new();
+        let armed = QueryOptions { cancel: Some(token.clone()), ..opts.clone() };
+        let r = execute(&t, &the_query(armed.clone())).unwrap();
+        assert_eq!(r.rows, execute(&t, &the_query(opts.clone())).unwrap().rows);
+        assert!(
+            r.stats.governor_checks > 20_000 / batch_rows,
+            "one check per tail batch: {:?}",
+            r.stats
+        );
+        // Tripped, the same scan stops with the typed error.
+        token.cancel();
+        let err = execute(&t, &the_query(armed)).unwrap_err();
+        assert!(matches!(err, EngineError::Cancelled), "{err:?}");
+        let expired = QueryOptions { time_budget: Some(Duration::from_nanos(1)), ..opts };
+        let err = execute(&t, &the_query(expired)).unwrap_err();
+        assert!(matches!(err, EngineError::DeadlineExceeded), "{err:?}");
+    }
+}
